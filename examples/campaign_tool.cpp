@@ -9,19 +9,23 @@
 //                 [--runs=N] [--seed=N] [--verbose]
 //                 [--snapshot-period=MS] [--warm-fork]
 //
-// --mechanism accepts any slug in the mechanism registry
-// (recovery/registry.h; currently none, nilihype, rehype, snapres) and
-// rejects unknown slugs listing the registered ones. --mech= survives as
-// the older lenient spelling. --snapshot-period sets the snapres capture
-// cadence. --warm-fork switches the campaign to the warm-fork runner:
-// per-worker template systems advance through periodic full-system
-// snapshots and every injection run forks off the epoch preceding its
-// trigger — bit-identical results, large speedup on boot-dominated runs.
+// --mechanism accepts any slug in core::kMechanisms (none, nilihype,
+// rehype, snapres) and rejects unknown slugs listing the valid ones.
+// --snapshot-period sets the snapres capture cadence. --warm-fork switches
+// the campaign to the warm-fork runner: per-worker template systems
+// advance through periodic full-system snapshots and every injection run
+// forks off the epoch preceding its trigger — bit-identical results, large
+// speedup on boot-dominated runs.
 //                 [--audit] [--audit-out=FILE.json]
 //                 [--trace-out=FILE.json] [--metrics-out=FILE.json]
 //                 [--dossier-dir=DIR] [--replay=RUN_ID]
 //                 [--profile-out=FILE.folded]
 //
+// Every numeric flag is parsed strictly: digits only, no unit suffix.
+// --runs, --fuzz, --shrink-evals and --max-corpus need a positive count;
+// --seed, --fuzz-seed and --threads take any non-negative integer. An
+// unknown --mechanism, --fault, --setup, --bench or --placement value
+// exits 2 listing the valid ones.
 // --privvm-recovery arms the PrivVM component-recovery path (detector +
 // backend/ring repair, run after every hypervisor recovery and on PrivVM-only
 // failures). --privvm-plants[=OFFSET_US] additionally plants the correlated
@@ -97,8 +101,11 @@
 // --placement=SLUG   evacuation placement policy: least-loaded | first-fit.
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -112,7 +119,6 @@
 #include "forensics/profiler.h"
 #include "fuzz/engine.h"
 #include "fuzz/shrinker.h"
-#include "recovery/registry.h"
 #include "sim/json.h"
 
 using namespace nlh;
@@ -141,8 +147,7 @@ void Usage() {
       "            [--integrity-out=FILE.json]\n"
       "            [--trace-out=FILE.json] [--metrics-out=FILE.json]\n"
       "            [--dossier-dir=DIR] [--profile-out=FILE.folded] [--verbose]\n"
-      "            (--mechanism accepts any registered slug; --mech=nilihype|\n"
-      "            rehype|none is the older, lenient spelling)\n"
+      "            (an unknown SLUG exits listing the valid ones)\n"
       "  replay:   --replay=RUN_ID | --replay=REPRO.json\n"
       "  fuzzing:  --fuzz=N [--fuzz-seed=S] [--fuzz-all-mechs] [--threads=N]\n"
       "            [--corpus=DIR] [--shrink-evals=N] [--max-corpus=N]\n"
@@ -162,20 +167,50 @@ bool AllDigits(const std::string& s) {
   return true;
 }
 
-// Strict digits-only positive-integer flag parse, shared by every numeric
-// flag: a trailing unit ("150ms") or a non-positive value is rejected,
-// never atoi()-truncated into a silently different config. Prints the
-// error; the caller prints Usage() and exits 2.
+// Digits-only parse into [min, max]: a sign, a trailing unit ("150ms") or
+// an out-of-range value is rejected, never atoi()-truncated into a
+// silently different config.
+bool ParseDigits(const std::string& value, std::uint64_t min,
+                 std::uint64_t max, std::uint64_t* out) {
+  if (!AllDigits(value)) return false;
+  errno = 0;
+  const unsigned long long n = std::strtoull(value.c_str(), nullptr, 10);
+  if (errno == ERANGE || n < min || n > max) return false;
+  *out = n;
+  return true;
+}
+
+// Strict positive-integer flag parse, shared by every count flag. Prints
+// the error; the caller prints Usage() and exits 2.
 bool ParsePositiveInt(const char* flag, const std::string& value,
                       const char* what, int* out) {
-  const int n = AllDigits(value) ? std::atoi(value.c_str()) : 0;
-  if (n <= 0) {
+  std::uint64_t n = 0;
+  if (!ParseDigits(value, 1, INT_MAX, &n)) {
     std::printf("%s needs a positive %s, got '%s'\n", flag, what,
                 value.c_str());
     return false;
   }
-  *out = n;
+  *out = static_cast<int>(n);
   return true;
+}
+
+// Strict non-negative integer flag parse (seeds, thread counts).
+bool ParseU64(const char* flag, const std::string& value, std::uint64_t max,
+              std::uint64_t* out) {
+  if (!ParseDigits(value, 0, max, out)) {
+    std::printf("%s needs a non-negative integer up to %llu, got '%s'\n",
+                flag, static_cast<unsigned long long>(max), value.c_str());
+    return false;
+  }
+  return true;
+}
+
+// Prints "unknown <what> '<value>'; valid: a b c" for an enum-valued flag.
+void PrintUnknown(const char* what, const std::string& value,
+                  const std::vector<const char*>& valid) {
+  std::printf("unknown %s '%s'; valid:", what, value.c_str());
+  for (const char* v : valid) std::printf(" %s", v);
+  std::printf("\n");
 }
 
 void PrintVerdicts(const fuzz::OracleOutcome& o) {
@@ -264,19 +299,14 @@ int main(int argc, char** argv) {
     auto val = [&](const char* prefix) -> const char* {
       return arg.c_str() + std::strlen(prefix);
     };
-    if (arg.rfind("--mech=", 0) == 0) {
-      const std::string m = val("--mech=");
-      cfg.mechanism = m == "rehype" ? core::Mechanism::kReHype
-                      : m == "none" ? core::Mechanism::kNone
-                                    : core::Mechanism::kNiLiHype;
-    } else if (arg.rfind("--mechanism=", 0) == 0) {
+    if (arg.rfind("--mechanism=", 0) == 0) {
       const std::string slug = val("--mechanism=");
       if (!core::MechanismFromSlug(slug, &cfg.mechanism)) {
-        std::printf("unknown mechanism '%s'; registered:", slug.c_str());
-        for (const std::string& s : recovery::Registry::Instance().Slugs()) {
-          std::printf(" %s", s.c_str());
+        std::vector<const char*> slugs;
+        for (const core::MechanismInfo& m : core::kMechanisms) {
+          slugs.push_back(m.slug);
         }
-        std::printf("\n");
+        PrintUnknown("mechanism", slug, slugs);
         Usage();
         return 2;
       }
@@ -305,23 +335,43 @@ int main(int argc, char** argv) {
       } else if (f == "memory") {
         cfg.fault = inject::FaultType::kMemory;
       } else {
-        std::printf("unknown fault class '%s'; valid: failstop register code"
-                    " memory\n",
-                    f.c_str());
+        PrintUnknown("fault class", f, {"failstop", "register", "code",
+                                        "memory"});
         Usage();
         return 2;
       }
     } else if (arg.rfind("--setup=", 0) == 0) {
-      one_appvm = std::string(val("--setup=")) == "1appvm";
+      const std::string setup = val("--setup=");
+      if (setup != "1appvm" && setup != "3appvm") {
+        PrintUnknown("setup", setup, {"1appvm", "3appvm"});
+        Usage();
+        return 2;
+      }
+      one_appvm = setup == "1appvm";
     } else if (arg.rfind("--bench=", 0) == 0) {
       const std::string b = val("--bench=");
-      bench = b == "blk"   ? guest::BenchmarkKind::kBlkBench
-              : b == "net" ? guest::BenchmarkKind::kNetBench
-                           : guest::BenchmarkKind::kUnixBench;
+      if (b == "unix") {
+        bench = guest::BenchmarkKind::kUnixBench;
+      } else if (b == "blk") {
+        bench = guest::BenchmarkKind::kBlkBench;
+      } else if (b == "net") {
+        bench = guest::BenchmarkKind::kNetBench;
+      } else {
+        PrintUnknown("bench", b, {"unix", "blk", "net"});
+        Usage();
+        return 2;
+      }
     } else if (arg.rfind("--runs=", 0) == 0) {
-      opts.runs = std::atoi(val("--runs="));
+      if (!ParsePositiveInt("--runs", val("--runs="), "run count",
+                            &opts.runs)) {
+        Usage();
+        return 2;
+      }
     } else if (arg.rfind("--seed=", 0) == 0) {
-      opts.seed0 = static_cast<std::uint64_t>(std::atoll(val("--seed=")));
+      if (!ParseU64("--seed", val("--seed="), UINT64_MAX, &opts.seed0)) {
+        Usage();
+        return 2;
+      }
     } else if (arg == "--privvm-recovery") {
       cfg.privvm_recovery = true;
     } else if (arg == "--privvm-plants" ||
@@ -366,28 +416,48 @@ int main(int argc, char** argv) {
       dossier_dir = val("--dossier-dir=");
     } else if (arg.rfind("--replay=", 0) == 0) {
       const std::string what = val("--replay=");
-      if (AllDigits(what)) {
+      if (ParseDigits(what, 0, UINT64_MAX, &replay_id)) {
         replay_mode = true;
-        replay_id = static_cast<std::uint64_t>(std::atoll(what.c_str()));
       } else {
         replay_path = what;
       }
     } else if (arg.rfind("--profile-out=", 0) == 0) {
       profile_out = val("--profile-out=");
     } else if (arg.rfind("--threads=", 0) == 0) {
-      opts.threads = std::atoi(val("--threads="));
+      std::uint64_t threads = 0;
+      if (!ParseU64("--threads", val("--threads="), INT_MAX, &threads)) {
+        Usage();
+        return 2;
+      }
+      opts.threads = static_cast<int>(threads);
     } else if (arg.rfind("--fuzz=", 0) == 0) {
-      fuzz_iterations = std::atoi(val("--fuzz="));
+      if (!ParsePositiveInt("--fuzz", val("--fuzz="), "scenario count",
+                            &fuzz_iterations)) {
+        Usage();
+        return 2;
+      }
     } else if (arg.rfind("--fuzz-seed=", 0) == 0) {
-      fuzz_seed = static_cast<std::uint64_t>(std::atoll(val("--fuzz-seed=")));
+      if (!ParseU64("--fuzz-seed", val("--fuzz-seed="), UINT64_MAX,
+                    &fuzz_seed)) {
+        Usage();
+        return 2;
+      }
     } else if (arg.rfind("--corpus=", 0) == 0) {
       corpus_dir = val("--corpus=");
     } else if (arg.rfind("--shrink=", 0) == 0) {
       shrink_path = val("--shrink=");
     } else if (arg.rfind("--shrink-evals=", 0) == 0) {
-      shrink_evals = std::atoi(val("--shrink-evals="));
+      if (!ParsePositiveInt("--shrink-evals", val("--shrink-evals="),
+                            "evaluation budget", &shrink_evals)) {
+        Usage();
+        return 2;
+      }
     } else if (arg.rfind("--max-corpus=", 0) == 0) {
-      max_corpus = std::atoi(val("--max-corpus="));
+      if (!ParsePositiveInt("--max-corpus", val("--max-corpus="),
+                            "reproducer count", &max_corpus)) {
+        Usage();
+        return 2;
+      }
     } else if (arg == "--fleet") {
       fleet_mode = true;
     } else if (arg.rfind("--hosts=", 0) == 0) {
@@ -412,9 +482,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--placement=", 0) == 0) {
       const std::string slug = val("--placement=");
       if (!fleet::PlacementPolicyFromSlug(slug, &fleet_cfg.placement)) {
-        std::printf(
-            "unknown placement policy '%s'; valid: least-loaded first-fit\n",
-            slug.c_str());
+        PrintUnknown("placement policy", slug, {"least-loaded", "first-fit"});
         Usage();
         return 2;
       }
@@ -505,7 +573,7 @@ int main(int argc, char** argv) {
     fopts.max_shrink_evals = shrink_evals;
     fopts.max_corpus = max_corpus;
     fopts.corpus_dir = corpus_dir;
-    if (fuzz_all_mechs) fopts.policies = fuzz::RegisteredPolicies();
+    if (fuzz_all_mechs) fopts.policies = fuzz::AllPolicies();
     fopts.on_progress = [](const std::string& line) {
       std::printf("  %s\n", line.c_str());
     };

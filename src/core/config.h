@@ -23,20 +23,32 @@
 
 namespace nlh::core {
 
-// Thin compat alias over the mechanism registry (recovery/registry.h):
-// construction, display names and slug parsing all go through the registry;
-// the enum survives so existing configs, switch-based analysis code and
-// committed JSON artifacts (which carry MechanismName strings) are
-// untouched. Values map 1:1 onto registered slugs.
+// The recovery mechanisms under test. kMechanisms below is the one place
+// that names them: slugs for CLI flags and fleet JSON, display names for
+// everything the committed JSON artifacts carry (dossiers, corpus bundles,
+// BENCH files). TargetSystem::Build turns a value into a mechanism.
 enum class Mechanism { kNone, kNiLiHype, kReHype, kSnapRes };
-// Display name ("NiLiHype") — the registry's display string, byte-for-byte
-// the historical enum name.
+
+struct MechanismInfo {
+  Mechanism mechanism;
+  const char* slug;  // stable flag/JSON slug ("nilihype")
+  const char* name;  // display name ("NiLiHype")
+};
+
+// Indexed by enum value, in the canonical order tools list them.
+inline constexpr MechanismInfo kMechanisms[] = {
+    {Mechanism::kNone, "none", "None"},
+    {Mechanism::kNiLiHype, "nilihype", "NiLiHype"},
+    {Mechanism::kReHype, "rehype", "ReHype"},
+    {Mechanism::kSnapRes, "snapres", "SnapRes"},
+};
+
 const char* MechanismName(Mechanism m);
-// Stable registry slug ("nilihype").
 const char* MechanismSlug(Mechanism m);
-// Parses a registry slug; returns false (and leaves *out alone) when the
-// slug names no enum-mapped mechanism.
+// Parse a slug / display name; return false (and leave *out alone) when
+// nothing in kMechanisms matches.
 bool MechanismFromSlug(const std::string& slug, Mechanism* out);
+bool MechanismFromName(const std::string& name, Mechanism* out);
 
 enum class Setup {
   k1AppVM,  // PrivVM + one AppVM (Section VI-A)

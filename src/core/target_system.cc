@@ -1,39 +1,53 @@
 #include "core/target_system.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "audit/state_auditor.h"
-#include "recovery/registry.h"
+#include "recovery/nilihype.h"
+#include "recovery/rehype.h"
+#include "recovery/snapres.h"
 
 namespace nlh::core {
 
-const char* MechanismSlug(Mechanism m) {
-  switch (m) {
-    case Mechanism::kNone: return "none";
-    case Mechanism::kNiLiHype: return "nilihype";
-    case Mechanism::kReHype: return "rehype";
-    case Mechanism::kSnapRes: return "snapres";
+namespace {
+
+constexpr bool TableIndexedByEnum() {
+  for (std::size_t i = 0; i < std::size(kMechanisms); ++i) {
+    if (static_cast<std::size_t>(kMechanisms[i].mechanism) != i) return false;
   }
-  return "?";
+  return true;
+}
+static_assert(TableIndexedByEnum(), "kMechanisms must be indexed by enum");
+
+const MechanismInfo& Info(Mechanism m) {
+  return kMechanisms[static_cast<std::size_t>(m)];
 }
 
-const char* MechanismName(Mechanism m) {
-  // Display names live in the registry; the committed JSON artifacts carry
-  // these strings, so they are byte-identical to the historical enum names.
-  const char* name =
-      recovery::Registry::Instance().DisplayName(MechanismSlug(m));
-  return name != nullptr ? name : "?";
-}
-
-bool MechanismFromSlug(const std::string& slug, Mechanism* out) {
-  for (Mechanism m : {Mechanism::kNone, Mechanism::kNiLiHype,
-                      Mechanism::kReHype, Mechanism::kSnapRes}) {
-    if (slug == MechanismSlug(m)) {
-      *out = m;
+// Looks `key` up in one string column of the table.
+bool FindBy(const char* MechanismInfo::*column, const std::string& key,
+            Mechanism* out) {
+  for (const MechanismInfo& info : kMechanisms) {
+    if (key == info.*column) {
+      *out = info.mechanism;
       return true;
     }
   }
   return false;
+}
+
+}  // namespace
+
+const char* MechanismSlug(Mechanism m) { return Info(m).slug; }
+
+const char* MechanismName(Mechanism m) { return Info(m).name; }
+
+bool MechanismFromSlug(const std::string& slug, Mechanism* out) {
+  return FindBy(&MechanismInfo::slug, slug, out);
+}
+
+bool MechanismFromName(const std::string& name, Mechanism* out) {
+  return FindBy(&MechanismInfo::name, name, out);
 }
 
 const char* OutcomeClassName(OutcomeClass c) {
@@ -74,13 +88,24 @@ void TargetSystem::Build() {
   // Detection + recovery.
   hang_ = std::make_unique<detect::HangDetector>(*hv_);
   hang_->Install();
-  recovery::MechanismParams mech_params;
-  mech_params.enhancements = config_.enhancements;
-  mech_params.latency_model = config_.latency_model;
-  mech_params.snapshot_period = config_.snapshot_period;
-  std::unique_ptr<recovery::RecoveryMechanism> mech =
-      recovery::Registry::Instance().Build(MechanismSlug(config_.mechanism),
-                                           *hv_, mech_params);
+  std::unique_ptr<recovery::RecoveryMechanism> mech;
+  switch (config_.mechanism) {
+    case Mechanism::kNone:
+      break;  // no mechanism installed: detection marks the system dead
+    case Mechanism::kNiLiHype:
+      mech = std::make_unique<recovery::NiLiHype>(
+          *hv_, config_.enhancements, config_.latency_model);
+      break;
+    case Mechanism::kReHype:
+      mech = std::make_unique<recovery::ReHype>(*hv_, config_.enhancements,
+                                                config_.latency_model);
+      break;
+    case Mechanism::kSnapRes:
+      mech = std::make_unique<recovery::SnapRes>(
+          *hv_, config_.enhancements, config_.latency_model,
+          config_.snapshot_period);
+      break;
+  }
   manager_ = std::make_unique<recovery::RecoveryManager>(*hv_, std::move(mech),
                                                          hang_.get());
   manager_->Install();
@@ -187,17 +212,17 @@ void TargetSystem::Build() {
     const int iters = (config_.bench_1appvm == guest::BenchmarkKind::kBlkBench)
                           ? config_.blkbench_files
                           : config_.unixbench_iterations;
-    AddAppVm(config_.bench_1appvm, iters, /*cpu=*/1, /*via_toolstack=*/false);
+    AddAppVm(config_.bench_1appvm, iters, /*cpu=*/1);
     initial_appvm_count_ = 1;
   } else {
     AddAppVm(guest::BenchmarkKind::kUnixBench, config_.unixbench_iterations,
-             /*cpu=*/1, /*via_toolstack=*/false);
+             /*cpu=*/1);
     AddAppVm(guest::BenchmarkKind::kNetBench, /*iterations=*/1 << 30,
-             /*cpu=*/config_.share_cpu ? 1 : 2, /*via_toolstack=*/false);
+             /*cpu=*/config_.share_cpu ? 1 : 2);
     initial_appvm_count_ = 2;
     if (config_.vm3_at_start) {
       AddAppVm(guest::BenchmarkKind::kBlkBench, config_.blkbench_files,
-               /*cpu=*/3, /*via_toolstack=*/false);
+               /*cpu=*/3);
       initial_appvm_count_ = 3;
       vm3_attempted_ = true;  // no post-recovery creation in this variant
     }
@@ -244,15 +269,10 @@ void TargetSystem::Build() {
 }
 
 guest::AppVmKernel* TargetSystem::AddAppVm(guest::BenchmarkKind kind,
-                                           int iterations, hw::CpuId cpu,
-                                           bool via_toolstack,
-                                           hv::DomainId precreated) {
-  (void)via_toolstack;
-  hv::DomainId id = precreated;
-  if (id == hv::kInvalidDomain) {
-    id = hv_->CreateDomainDirect(std::string(guest::BenchmarkName(kind)),
-                                 /*privileged=*/false, cpu, /*frames=*/64);
-  }
+                                           int iterations, hw::CpuId cpu) {
+  const hv::DomainId id =
+      hv_->CreateDomainDirect(std::string(guest::BenchmarkName(kind)),
+                              /*privileged=*/false, cpu, /*frames=*/64);
   auto vm = std::make_unique<guest::AppVmKernel>(
       *hv_, guest::BenchmarkName(kind),
       config_.seed ^ (0x1000ULL + static_cast<std::uint64_t>(id)), kind,
@@ -477,14 +497,13 @@ void TargetSystem::EnableFlightRecorder(std::size_t per_cpu_capacity) {
 
 RunResult TargetSystem::Run() {
   auto& queue = platform_->queue();
-  std::uint64_t n = 0;
   while (!queue.Empty() && queue.NextTime() <= config_.run_deadline) {
     queue.RunOne();
-    if ((++n & 0x3fff) == 0 && hv_->dead()) {
-      // Nothing else can change once the platform is dead, except pending
-      // timers; stop early.
-      break;
-    }
+    // Nothing else can change once the platform is dead, except pending
+    // timers; stop early. The check points count the queue's executed
+    // events, not this loop's, so a warm-forked run (whose queue was
+    // restored mid-run) stops at the same event as a cold one.
+    if ((queue.ran() & 0x3fff) == 0 && hv_->dead()) break;
   }
   return Classify();
 }

@@ -140,8 +140,7 @@ class TargetSystem {
 
   void Build();
   guest::AppVmKernel* AddAppVm(guest::BenchmarkKind kind, int iterations,
-                               hw::CpuId cpu, bool via_toolstack,
-                               hv::DomainId precreated = hv::kInvalidDomain);
+                               hw::CpuId cpu);
   void WireBlk(guest::AppVmKernel* vm);
   void WireNet(guest::AppVmKernel* vm);
   // Creates a pair of bound interdomain event ports; returns {app_port,

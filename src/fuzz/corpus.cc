@@ -102,19 +102,11 @@ bool LoadReproducer(const std::string& path, LoadedReproducer* out,
     // Recover the policy from the verdict's mechanism display name so the
     // replay runs the exact list the bundle was shrunk against.
     const sim::JsonValue* mech = v.Find("mechanism");
-    bool known = false;
-    if (mech != nullptr) {
-      for (core::Mechanism m :
-           {core::Mechanism::kNone, core::Mechanism::kNiLiHype,
-            core::Mechanism::kReHype, core::Mechanism::kSnapRes}) {
-        if (mech->str == core::MechanismName(m)) {
-          rep.policies.push_back(m);
-          known = true;
-          break;
-        }
-      }
+    core::Mechanism m = core::Mechanism::kNone;
+    if (mech == nullptr || !core::MechanismFromName(mech->str, &m)) {
+      return fail("unknown verdict mechanism: " + path);
     }
-    if (!known) return fail("unknown verdict mechanism: " + path);
+    rep.policies.push_back(m);
     rep.expected_verdicts.push_back(sim::WriteJson(v));
   }
   *out = std::move(rep);

@@ -26,7 +26,7 @@ struct FuzzOptions {
   int threads = 0;           // forwarded to core::RunMany (0 = hw threads)
   // Mechanisms each scenario is differentially evaluated under. Empty =
   // DefaultPolicies() (the historical NiLiHype/ReHype/baseline triple);
-  // RegisteredPolicies() adds snapres as a fourth variant.
+  // AllPolicies() adds snapres as a fourth variant.
   std::vector<core::Mechanism> policies;
   int batch = 16;            // scenarios evaluated per RunMany batch
   int max_shrink_evals = 64;  // oracle-eval budget per flagged scenario

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "hv/failure.h"
-#include "recovery/registry.h"
 
 namespace nlh::fuzz {
 
@@ -154,17 +153,15 @@ std::string PolicyVerdict::ToJson() const {
 }
 
 std::vector<core::Mechanism> DefaultPolicies() {
-  return {kPolicies, kPolicies + kNumPolicies};
+  return {core::Mechanism::kNiLiHype, core::Mechanism::kReHype,
+          core::Mechanism::kNone};
 }
 
-std::vector<core::Mechanism> RegisteredPolicies() {
-  // Recovery mechanisms in registry order, the no-recovery baseline last.
+std::vector<core::Mechanism> AllPolicies() {
+  // Recovery mechanisms in table order, the no-recovery baseline last.
   std::vector<core::Mechanism> out;
-  for (const std::string& slug : recovery::Registry::Instance().Slugs()) {
-    core::Mechanism m = core::Mechanism::kNone;
-    if (core::MechanismFromSlug(slug, &m) && m != core::Mechanism::kNone) {
-      out.push_back(m);
-    }
+  for (const core::MechanismInfo& info : core::kMechanisms) {
+    if (info.mechanism != core::Mechanism::kNone) out.push_back(info.mechanism);
   }
   out.push_back(core::Mechanism::kNone);
   return out;

@@ -8,8 +8,8 @@
 // The policy list is a runtime parameter: every oracle entry point takes a
 // mechanism vector and defaults to DefaultPolicies(), which preserves the
 // historical NiLiHype/ReHype/baseline triple byte-for-byte (the committed
-// corpus reproducers were shrunk against it). RegisteredPolicies() expands
-// the comparison to every mechanism in the registry — snapres rides along
+// corpus reproducers were shrunk against it). AllPolicies() expands the
+// comparison to every mechanism in core::kMechanisms — snapres rides along
 // as the fourth variant.
 #pragma once
 
@@ -23,21 +23,15 @@
 
 namespace nlh::fuzz {
 
-// The historical fixed policy triple, kept as the default list. The last
-// entry is the full-reboot-equivalent baseline: no in-place recovery
-// mechanism at all, which stands in for "lose everything and start over" —
-// the paper's point of comparison for both mechanisms.
-inline constexpr int kNumPolicies = 3;
-inline constexpr core::Mechanism kPolicies[kNumPolicies] = {
-    core::Mechanism::kNiLiHype, core::Mechanism::kReHype,
-    core::Mechanism::kNone};
-
-// {kNiLiHype, kReHype, kNone} — kPolicies as a runtime list.
+// The historical fixed policy triple {kNiLiHype, kReHype, kNone}, kept as
+// the default list. The last entry is the full-reboot-equivalent baseline:
+// no in-place recovery mechanism at all, which stands in for "lose
+// everything and start over" — the paper's point of comparison for both
+// mechanisms.
 std::vector<core::Mechanism> DefaultPolicies();
-// Every enum-mapped mechanism in the registry, recovery mechanisms in
-// registration order with the baseline last: {kNiLiHype, kReHype,
-// kSnapRes, kNone}.
-std::vector<core::Mechanism> RegisteredPolicies();
+// Every mechanism in core::kMechanisms, recovery mechanisms in table order
+// with the baseline last: {kNiLiHype, kReHype, kSnapRes, kNone}.
+std::vector<core::Mechanism> AllPolicies();
 
 enum class DivergenceKind {
   kNone = 0,

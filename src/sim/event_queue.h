@@ -97,18 +97,21 @@ class EventQueue {
     heap_.clear();
     free_.clear();
     live_ = 0;
+    ran_ = 0;
     return Storage{std::move(slots_), std::move(heap_), std::move(free_)};
   }
 
   // Deep snapshot of the whole queue: pending callbacks are cloned (see
-  // SmallFn::Clone), the heap / free list / clock / sequence counter are
-  // copied. Restoring re-clones from the image, so one capture can seed any
-  // number of restores (the warm-fork campaign runner restores the same
-  // epoch image once per run). Move-only because EventSlot holds SmallFn.
+  // SmallFn::Clone), the heap / free list / clock / sequence and executed
+  // event counters are copied. Restoring re-clones from the image, so one
+  // capture can seed any number of restores (the warm-fork campaign runner
+  // restores the same epoch image once per run). Move-only because
+  // EventSlot holds SmallFn.
   struct Image {
     Time now = 0;
     std::uint64_t next_seq = 1;
     std::size_t live = 0;
+    std::uint64_t ran = 0;
     std::vector<EventSlot> slots;
     std::vector<EventHeapEntry> heap;
     std::vector<std::uint32_t> free_slots;
@@ -119,6 +122,7 @@ class EventQueue {
     img.now = now_;
     img.next_seq = next_seq_;
     img.live = live_;
+    img.ran = ran_;
     img.slots.reserve(slots_.size());
     for (const EventSlot& s : slots_) {
       EventSlot c;
@@ -145,6 +149,7 @@ class EventQueue {
     now_ = img.now;
     next_seq_ = img.next_seq;
     live_ = img.live;
+    ran_ = img.ran;
   }
 
   Time Now() const { return now_; }
@@ -188,6 +193,9 @@ class EventQueue {
 
   bool Empty() const { return live_ == 0; }
   std::size_t PendingCount() const { return live_; }
+  // Events executed since construction. Part of the logical state (carried
+  // in Image), so a restored queue counts exactly as the captured one did.
+  std::uint64_t ran() const { return ran_; }
 
   // Runs the next pending event, advancing the clock. Returns false if the
   // queue is empty.
@@ -203,6 +211,7 @@ class EventQueue {
       SmallFn fn = std::move(s.fn);
       FreeSlot(top.slot);
       --live_;
+      ++ran_;
       fn();
       return true;
     }
@@ -294,6 +303,7 @@ class EventQueue {
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
+  std::uint64_t ran_ = 0;
   std::vector<EventSlot> slots_;
   std::vector<EventHeapEntry> heap_;
   std::vector<std::uint32_t> free_;

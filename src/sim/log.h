@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -28,15 +27,6 @@ class Logger {
   // sink instead of stderr (used by tests to assert on recovery traces).
   void SetSink(std::vector<std::string>* sink) { sink_ = sink; }
 
-  // Per-component level override: a component named here is filtered
-  // against its own level instead of the global one, so a replay can run
-  // e.g. global kInfo with "inject" at kDebug (or silence a chatty
-  // component with kNone).
-  void SetComponentLevel(const std::string& component, LogLevel level) {
-    component_levels_[component] = level;
-  }
-  void ClearComponentLevels() { component_levels_.clear(); }
-
   // Structured observer called (before formatting) for every line that
   // passes filtering, in addition to the sink/stderr output. The flight
   // recorder uses this to fold log lines into the event stream.
@@ -47,14 +37,9 @@ class Logger {
 
   bool Enabled(LogLevel level) const { return level <= level_; }
 
-  bool Enabled(LogLevel level, const std::string& component) const {
-    auto it = component_levels_.find(component);
-    return level <= (it == component_levels_.end() ? level_ : it->second);
-  }
-
   void Log(LogLevel level, Time now, const std::string& component,
            const std::string& message) {
-    if (!Enabled(level, component)) return;
+    if (!Enabled(level)) return;
     if (event_hook_) event_hook_(level, now, component, message);
     char prefix[64];
     std::snprintf(prefix, sizeof(prefix), "[%10.3fms] %-8s ", ToMillisF(now),
@@ -69,7 +54,6 @@ class Logger {
 
  private:
   LogLevel level_;
-  std::map<std::string, LogLevel> component_levels_;
   EventHook event_hook_;
   std::vector<std::string>* sink_ = nullptr;
 };

@@ -58,15 +58,105 @@ TEST(CampaignToolCli, UnreadableShrinkPathExitsNonzeroWithUsage) {
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
 }
 
-TEST(CampaignToolCli, UnknownMechanismSlugExitsNonzeroListingRegistered) {
+TEST(CampaignToolCli, UnknownMechanismSlugExitsNonzeroListingValid) {
   const CliResult r = RunTool("--mechanism=reboot-everything");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("unknown mechanism 'reboot-everything'"),
             std::string::npos);
-  // The error names every registered slug so the fix is copy-pasteable.
+  // The error names every slug in the table so the fix is copy-pasteable.
+  EXPECT_NE(r.output.find("valid: none nilihype rehype snapres"),
+            std::string::npos);
   EXPECT_NE(r.output.find("nilihype"), std::string::npos);
   EXPECT_NE(r.output.find("rehype"), std::string::npos);
   EXPECT_NE(r.output.find("snapres"), std::string::npos);
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(CampaignToolCli, OldLenientMechFlagIsAnUnknownFlag) {
+  // --mech= used to map any typo to NiLiHype; --mechanism= is the one
+  // spelling now.
+  const CliResult r = RunTool("--mech=rehype");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown flag --mech=rehype"), std::string::npos)
+      << r.output;
+}
+
+// Every count flag is digits-only and positive: "abc" used to run 0 runs
+// and "-5" printed a "-5 runs" campaign.
+TEST(CampaignToolCli, NonNumericRunCountIsRejected) {
+  const CliResult r = RunTool("--runs=abc");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'abc'"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(CampaignToolCli, NegativeRunCountIsRejected) {
+  const CliResult r = RunTool("--runs=-5");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'-5'"), std::string::npos) << r.output;
+}
+
+TEST(CampaignToolCli, ZeroFuzzScenarioCountIsRejected) {
+  const CliResult r = RunTool("--fuzz=0");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'0'"), std::string::npos) << r.output;
+}
+
+TEST(CampaignToolCli, ShrinkEvalBudgetWithSuffixIsRejected) {
+  const CliResult r = RunTool("--shrink-evals=64x");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'64x'"), std::string::npos) << r.output;
+}
+
+TEST(CampaignToolCli, NegativeMaxCorpusIsRejected) {
+  const CliResult r = RunTool("--max-corpus=-1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'-1'"), std::string::npos) << r.output;
+}
+
+// Seeds and thread counts are non-negative integers: "12abc" used to run
+// seed 12 and "x" threads silently meant auto.
+TEST(CampaignToolCli, SeedWithTrailingGarbageIsRejected) {
+  const CliResult r = RunTool("--seed=12abc");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'12abc'"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(CampaignToolCli, SeedAboveU64IsRejected) {
+  const CliResult r = RunTool("--seed=18446744073709551616");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'18446744073709551616'"), std::string::npos)
+      << r.output;
+}
+
+TEST(CampaignToolCli, NegativeFuzzSeedIsRejected) {
+  const CliResult r = RunTool("--fuzz-seed=-3");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'-3'"), std::string::npos) << r.output;
+}
+
+TEST(CampaignToolCli, NonNumericThreadCountIsRejected) {
+  const CliResult r = RunTool("--threads=x");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'x'"), std::string::npos) << r.output;
+}
+
+TEST(CampaignToolCli, UnknownSetupExitsNonzeroListingValid) {
+  const CliResult r = RunTool("--setup=2appvm");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown setup '2appvm'; valid: 1appvm 3appvm"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST(CampaignToolCli, UnknownBenchExitsNonzeroListingValid) {
+  const CliResult r = RunTool("--bench=nope");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown bench 'nope'; valid: unix blk net"),
+            std::string::npos)
+      << r.output;
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
 }
 

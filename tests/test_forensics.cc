@@ -370,12 +370,10 @@ TEST(Profiler, OrphanParentsAndZeroSelfTimeSpans) {
 
 // --- Logger filtering + hook ------------------------------------------------
 
-TEST(Logger, ComponentLevelOverridesAndEventHook) {
+TEST(Logger, LevelFilterFeedsSinkAndEventHook) {
   sim::Logger log(sim::LogLevel::kInfo);
   std::vector<std::string> sink;
   log.SetSink(&sink);
-  log.SetComponentLevel("chatty", sim::LogLevel::kNone);
-  log.SetComponentLevel("quiet", sim::LogLevel::kDebug);
 
   std::vector<std::string> hooked;
   log.SetEventHook([&](sim::LogLevel, sim::Time, const std::string& comp,
@@ -383,19 +381,21 @@ TEST(Logger, ComponentLevelOverridesAndEventHook) {
     hooked.push_back(comp + "/" + msg);
   });
 
-  log.Log(sim::LogLevel::kInfo, 0, "chatty", "dropped");
-  log.Log(sim::LogLevel::kDebug, 0, "other", "dropped (below global)");
-  log.Log(sim::LogLevel::kDebug, 0, "quiet", "kept (component override)");
+  log.Log(sim::LogLevel::kDebug, 0, "other", "dropped (below level)");
+  log.Log(sim::LogLevel::kError, 0, "recover", "kept");
   log.Log(sim::LogLevel::kInfo, 0, "other", "kept");
 
   ASSERT_EQ(hooked.size(), 2u);
-  EXPECT_EQ(hooked[0], "quiet/kept (component override)");
+  EXPECT_EQ(hooked[0], "recover/kept");
   EXPECT_EQ(hooked[1], "other/kept");
   EXPECT_EQ(sink.size(), 2u);  // hook fires for exactly the emitted lines
+  EXPECT_NE(sink[0].find("recover"), std::string::npos);
+  EXPECT_NE(sink[0].find("kept"), std::string::npos);
 
-  log.ClearComponentLevels();
-  log.Log(sim::LogLevel::kInfo, 0, "chatty", "audible again");
+  log.SetLevel(sim::LogLevel::kDebug);
+  log.Log(sim::LogLevel::kDebug, 0, "other", "audible now");
   EXPECT_EQ(sink.size(), 3u);
+  EXPECT_EQ(hooked.size(), 3u);
 }
 
 // --- Dossiers + replay determinism -----------------------------------------

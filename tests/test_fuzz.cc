@@ -231,15 +231,12 @@ TEST(Corpus, WriteLoadRoundTripAndTamperDetection) {
   ASSERT_TRUE(fuzz::LoadReproducer(path, &rep, &err)) << err;
   EXPECT_EQ(rep.divergence, o.divergence);
   EXPECT_EQ(rep.scenario.ToJson(), s.ToJson());
-  ASSERT_EQ(rep.expected_verdicts.size(),
-            static_cast<std::size_t>(fuzz::kNumPolicies));
   ASSERT_EQ(rep.policies, fuzz::DefaultPolicies());
-  for (int i = 0; i < fuzz::kNumPolicies; ++i) {
+  ASSERT_EQ(rep.expected_verdicts.size(), rep.policies.size());
+  for (std::size_t i = 0; i < rep.policies.size(); ++i) {
     sim::JsonValue doc;
-    ASSERT_TRUE(sim::ParseJson(
-        o.verdicts[static_cast<std::size_t>(i)].ToJson(), &doc));
-    EXPECT_EQ(rep.expected_verdicts[static_cast<std::size_t>(i)],
-              sim::WriteJson(doc));
+    ASSERT_TRUE(sim::ParseJson(o.verdicts[i].ToJson(), &doc));
+    EXPECT_EQ(rep.expected_verdicts[i], sim::WriteJson(doc));
   }
 
   EXPECT_FALSE(fuzz::LoadReproducer(dir + "/missing.json", &rep, &err));
@@ -248,8 +245,8 @@ TEST(Corpus, WriteLoadRoundTripAndTamperDetection) {
 
 // --- Runtime policy lists ---------------------------------------------------
 
-TEST(Oracle, RegisteredPoliciesAddSnapResAsFourthVariant) {
-  const std::vector<core::Mechanism> all = fuzz::RegisteredPolicies();
+TEST(Oracle, AllPoliciesAddSnapResAsFourthVariant) {
+  const std::vector<core::Mechanism> all = fuzz::AllPolicies();
   const std::vector<core::Mechanism> want = {
       core::Mechanism::kNiLiHype, core::Mechanism::kReHype,
       core::Mechanism::kSnapRes, core::Mechanism::kNone};
@@ -264,7 +261,7 @@ TEST(Oracle, FourVariantEvaluationJudgesEveryMechanism) {
   fuzz::Scenario s;
   s.seed = 7;
   const fuzz::OracleOutcome o =
-      fuzz::EvaluateScenario(s, 4, fuzz::RegisteredPolicies());
+      fuzz::EvaluateScenario(s, 4, fuzz::AllPolicies());
   ASSERT_EQ(o.verdicts.size(), 4u);
   EXPECT_EQ(o.verdicts[0].mechanism, core::Mechanism::kNiLiHype);
   EXPECT_EQ(o.verdicts[2].mechanism, core::Mechanism::kSnapRes);

@@ -1,9 +1,11 @@
-// Tests for the mechanism registry (recovery/registry.h) and the SnapRes
-// snapshot/rollback mechanism (recovery/snapres.h): registry contents and
-// compat-alias round trips, the capture -> corrupt -> rollback repair
-// cycle, and an end-to-end failstop run through core::TargetSystem.
+// Tests for the mechanism table (core::kMechanisms, built by
+// TargetSystem::Build) and the SnapRes snapshot/rollback mechanism
+// (recovery/snapres.h): slug and display-name round trips, construction
+// through TargetSystem, the capture -> corrupt -> rollback repair cycle,
+// and an end-to-end failstop run through core::TargetSystem.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -14,76 +16,88 @@
 #include "core/target_system.h"
 #include "hv/hypervisor.h"
 #include "recovery/nilihype.h"
-#include "recovery/registry.h"
 #include "recovery/snapres.h"
 
 namespace nlh {
 namespace {
 
-// --- Registry ---------------------------------------------------------------
+// --- Mechanism table ----------------------------------------------------------
 
-TEST(RegistryTest, ListsBuiltinsInRegistrationOrder) {
-  const std::vector<std::string> slugs = recovery::Registry::Instance().Slugs();
-  ASSERT_GE(slugs.size(), 4u);
-  EXPECT_EQ(slugs[0], "none");
-  EXPECT_EQ(slugs[1], "nilihype");
-  EXPECT_EQ(slugs[2], "rehype");
-  EXPECT_EQ(slugs[3], "snapres");
-}
-
-TEST(RegistryTest, DisplayNamesMatchHistoricalEnumNames) {
-  recovery::Registry& reg = recovery::Registry::Instance();
-  EXPECT_STREQ(reg.DisplayName("none"), "None");
-  EXPECT_STREQ(reg.DisplayName("nilihype"), "NiLiHype");
-  EXPECT_STREQ(reg.DisplayName("rehype"), "ReHype");
-  EXPECT_STREQ(reg.DisplayName("snapres"), "SnapRes");
-  EXPECT_EQ(reg.DisplayName("no-such-mechanism"), nullptr);
-  EXPECT_TRUE(reg.Has("snapres"));
-  EXPECT_FALSE(reg.Has("no-such-mechanism"));
-}
-
-TEST(RegistryTest, BuildsWorkingMechanisms) {
-  hw::PlatformConfig pcfg;
-  pcfg.num_cpus = 4;
-  pcfg.memory_gib = 8;
-  hw::Platform platform(pcfg, 1);
-  hv::Hypervisor hv(platform, hv::HvConfig{});
-  hv.Boot();
-
-  recovery::MechanismParams params;
-  params.snapshot_period = sim::Milliseconds(250);
-
-  recovery::Registry& reg = recovery::Registry::Instance();
-  EXPECT_EQ(reg.Build("none", hv, params), nullptr);
-  auto nl = reg.Build("nilihype", hv, params);
-  ASSERT_NE(nl, nullptr);
-  EXPECT_EQ(nl->Name(), "NiLiHype");
-  auto sr = reg.Build("snapres", hv, params);
-  ASSERT_NE(sr, nullptr);
-  EXPECT_EQ(sr->Name(), "SnapRes");
-  // The period reached the mechanism through the params struct.
-  EXPECT_EQ(static_cast<recovery::SnapRes*>(sr.get())->period(),
-            sim::Milliseconds(250));
-}
-
-TEST(RegistryTest, EnumCompatAliasRoundTrips) {
+TEST(MechanismTable, ListsEveryMechanismInCanonicalOrder) {
   using core::Mechanism;
-  const Mechanism all[] = {Mechanism::kNone, Mechanism::kNiLiHype,
-                           Mechanism::kReHype, Mechanism::kSnapRes};
-  for (Mechanism m : all) {
-    Mechanism parsed = Mechanism::kNone;
-    ASSERT_TRUE(core::MechanismFromSlug(core::MechanismSlug(m), &parsed));
-    EXPECT_EQ(parsed, m);
-  }
-  // Display strings are byte-identical to the historical enum names
-  // (committed JSON artifacts carry them).
+  ASSERT_EQ(std::size(core::kMechanisms), 4u);
+  EXPECT_EQ(core::kMechanisms[0].mechanism, Mechanism::kNone);
+  EXPECT_EQ(core::kMechanisms[1].mechanism, Mechanism::kNiLiHype);
+  EXPECT_EQ(core::kMechanisms[2].mechanism, Mechanism::kReHype);
+  EXPECT_EQ(core::kMechanisms[3].mechanism, Mechanism::kSnapRes);
+}
+
+TEST(MechanismTable, SlugsAndDisplayNamesAreTheHistoricalStrings) {
+  // Committed JSON artifacts (dossiers, corpus bundles, fleet and BENCH
+  // files) carry these strings byte-for-byte.
+  using core::Mechanism;
+  EXPECT_STREQ(core::MechanismSlug(Mechanism::kNone), "none");
+  EXPECT_STREQ(core::MechanismSlug(Mechanism::kNiLiHype), "nilihype");
+  EXPECT_STREQ(core::MechanismSlug(Mechanism::kReHype), "rehype");
+  EXPECT_STREQ(core::MechanismSlug(Mechanism::kSnapRes), "snapres");
   EXPECT_STREQ(core::MechanismName(Mechanism::kNone), "None");
   EXPECT_STREQ(core::MechanismName(Mechanism::kNiLiHype), "NiLiHype");
   EXPECT_STREQ(core::MechanismName(Mechanism::kReHype), "ReHype");
   EXPECT_STREQ(core::MechanismName(Mechanism::kSnapRes), "SnapRes");
-  Mechanism parsed = Mechanism::kNone;
-  EXPECT_FALSE(core::MechanismFromSlug("bogus", &parsed));
-  EXPECT_EQ(parsed, Mechanism::kNone);
+}
+
+TEST(MechanismTable, EveryValueRoundTripsThroughSlugAndDisplayName) {
+  for (const core::MechanismInfo& info : core::kMechanisms) {
+    SCOPED_TRACE(info.slug);
+    EXPECT_STREQ(core::MechanismSlug(info.mechanism), info.slug);
+    EXPECT_STREQ(core::MechanismName(info.mechanism), info.name);
+    core::Mechanism parsed = core::Mechanism::kNone;
+    ASSERT_TRUE(core::MechanismFromSlug(info.slug, &parsed));
+    EXPECT_EQ(parsed, info.mechanism);
+    parsed = core::Mechanism::kNone;
+    ASSERT_TRUE(core::MechanismFromName(info.name, &parsed));
+    EXPECT_EQ(parsed, info.mechanism);
+  }
+}
+
+TEST(MechanismTable, UnknownSlugOrNameLeavesOutputAlone) {
+  core::Mechanism parsed = core::Mechanism::kReHype;
+  EXPECT_FALSE(core::MechanismFromSlug("no-such-mechanism", &parsed));
+  EXPECT_FALSE(core::MechanismFromSlug("NiLiHype", &parsed));  // a name
+  EXPECT_FALSE(core::MechanismFromName("nilihype", &parsed));  // a slug
+  EXPECT_FALSE(core::MechanismFromName("", &parsed));
+  EXPECT_EQ(parsed, core::Mechanism::kReHype);
+}
+
+TEST(MechanismTable, TargetSystemBuildsTheNamedMechanism) {
+  for (const core::MechanismInfo& info : core::kMechanisms) {
+    SCOPED_TRACE(info.slug);
+    core::RunConfig cfg;
+    cfg.mechanism = info.mechanism;
+    cfg.inject = false;
+    core::TargetSystem sys(cfg);
+    ASSERT_NE(sys.recovery_manager(), nullptr);
+    const recovery::RecoveryMechanism* mech =
+        sys.recovery_manager()->mechanism();
+    if (info.mechanism == core::Mechanism::kNone) {
+      EXPECT_EQ(mech, nullptr);  // detection marks the system dead
+    } else {
+      ASSERT_NE(mech, nullptr);
+      EXPECT_EQ(mech->Name(), info.name);
+    }
+  }
+}
+
+TEST(MechanismTable, SnapResReceivesTheConfiguredSnapshotPeriod) {
+  core::RunConfig cfg;
+  cfg.mechanism = core::Mechanism::kSnapRes;
+  cfg.inject = false;
+  cfg.snapshot_period = sim::Milliseconds(250);
+  core::TargetSystem sys(cfg);
+  const auto* snapres = dynamic_cast<const recovery::SnapRes*>(
+      sys.recovery_manager()->mechanism());
+  ASSERT_NE(snapres, nullptr);
+  EXPECT_EQ(snapres->period(), sim::Milliseconds(250));
 }
 
 // --- SnapRes mechanism ------------------------------------------------------

@@ -116,6 +116,28 @@ TEST(WarmForkGolden, AuditedRunsMatchCold) {
   ExpectWarmMatchesCold(configs);
 }
 
+TEST(WarmForkGolden, DeadCheckCountsQueueEventsNotRunEvents) {
+  // Register faults with audit + integrity over a 300-2800 ms window: at
+  // seed 2504 the hypervisor dies in a way that makes the dead-platform
+  // early stop in TargetSystem::Run() visible in the NetBench verdict. A
+  // warm fork enters Run() with the template's events already executed, so
+  // the stop must be keyed to the queue's executed-event count (carried in
+  // the fork image), not to a count started inside Run().
+  RunConfig cfg;
+  cfg.seed = 2504;
+  cfg.fault = inject::FaultType::kRegister;
+  cfg.audit = true;
+  cfg.integrity = true;
+  cfg.inject_window_start = sim::Milliseconds(300);
+  cfg.inject_window_end = sim::Milliseconds(2800);
+  const std::vector<RunConfig> configs = {cfg};
+  const std::vector<RunResult> cold = RunMany(configs, /*threads=*/1);
+  const std::vector<RunResult> warm = RunManyWarmForked(configs, 1);
+  ASSERT_EQ(cold.size(), 1u);
+  ASSERT_EQ(warm.size(), 1u);
+  EXPECT_EQ(Canon(warm[0]), Canon(cold[0]));
+}
+
 TEST(WarmForkCampaign, AggregateMatchesColdCampaign) {
   RunConfig cfg;
   cfg.mechanism = Mechanism::kNiLiHype;
