@@ -16,13 +16,14 @@
 //     by the same fleet shape and seed they must match EXACTLY — any drift
 //     is a silent behavior change, not machine noise, and fails the gate.
 //
-// Flags: --out=FILE --baseline=FILE --gate-pct=P --hosts=N --tenants=N
-//        --horizon=S --threads=N --seed=N --quick
+// Flags (--help describes them; a bad one exits 2): --out=FILE
+// --baseline=FILE --gate-pct=P --hosts=N --tenants=N --horizon=S
+// --threads=N --seed=N --quick
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -31,6 +32,7 @@
 #include "bench/bench_util.h"
 #include "core/config.h"
 #include "fleet/fleet.h"
+#include "sim/flags.h"
 #include "sim/json.h"
 
 namespace {
@@ -92,36 +94,24 @@ int main(int argc, char** argv) {
   int hosts = 0;
   int tenants = 0;
   int horizon = 0;
-  int threads = 0;
   std::uint64_t seed = 1000;
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
-    } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      baseline_path = arg + 11;
-    } else if (std::strncmp(arg, "--gate-pct=", 11) == 0) {
-      gate_pct = std::atof(arg + 11);
-    } else if (std::strncmp(arg, "--hosts=", 8) == 0) {
-      hosts = std::atoi(arg + 8);
-    } else if (std::strncmp(arg, "--tenants=", 10) == 0) {
-      tenants = std::atoi(arg + 10);
-    } else if (std::strncmp(arg, "--horizon=", 10) == 0) {
-      horizon = std::atoi(arg + 10);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = std::atoi(arg + 10);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(arg, "--help") == 0) {
-      std::printf(
-          "flags: --out=FILE --baseline=FILE --gate-pct=P --hosts=N "
-          "--tenants=N --horizon=S --threads=N --seed=N --quick\n");
-      return 0;
-    }
-  }
+  std::uint64_t thread_count = 0;
+  using nlh::sim::Flag;
+  const std::vector<Flag> flags = {
+      Flag::Text("--out", &out_path, "FILE", "JSON output (default stdout)"),
+      Flag::Text("--baseline", &baseline_path, "FILE", "JSON to gate against"),
+      Flag::PositiveDecimal("--gate-pct", &gate_pct, "P", "gate width (15)"),
+      Flag::PositiveInt("--hosts", &hosts, "N", "hosts (100, quick 12)"),
+      Flag::PositiveInt("--tenants", &tenants, "N", "per host (10, quick 4)"),
+      Flag::PositiveInt("--horizon", &horizon, "S",
+                        "simulated seconds (3600, quick 600)"),
+      Flag::U64("--threads", &thread_count, INT_MAX, "threads (0 = all)"),
+      Flag::U64("--seed", &seed, UINT64_MAX, "fleet master seed (1000)"),
+      Flag::Switch("--quick", &quick, "the small smoke fleet"),
+  };
+  if (const auto exit = nlh::sim::ParseFlags(argc, argv, flags)) return *exit;
+  const int threads = static_cast<int>(thread_count);
   // Full mode is the acceptance-scale fleet: 100 hosts x 10 tenants over
   // one simulated hour. Quick mode (the `perf` ctest smoke) shrinks the
   // fleet but keeps every stage of the pipeline hot.

@@ -3,13 +3,16 @@
 // per mechanism for mean/p99 per-phase aggregates.
 //
 // Usage: bench_phase_breakdown [--out=FILE.json] [--runs=N] [--seed=N]
+// (--help describes them; a bad flag exits 2)
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/campaign.h"
 #include "core/target_system.h"
+#include "sim/flags.h"
 #include "sim/json.h"
 
 using namespace nlh;
@@ -68,20 +71,12 @@ int main(int argc, char** argv) {
   std::string out_path;
   int runs = 20;
   std::uint64_t seed0 = 2024;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--runs=", 0) == 0) {
-      runs = std::atoi(arg.c_str() + std::strlen("--runs="));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed0 = static_cast<std::uint64_t>(
-          std::atoll(arg.c_str() + std::strlen("--seed=")));
-    } else {
-      std::printf("unknown flag %s (see header comment)\n", arg.c_str());
-      return 2;
-    }
-  }
+  const std::vector<sim::Flag> flags = {
+      sim::Flag::Text("--out", &out_path, "FILE.json", "JSON output (stdout)"),
+      sim::Flag::PositiveInt("--runs", &runs, "N", "runs per mechanism (20)"),
+      sim::Flag::U64("--seed", &seed0, UINT64_MAX, "base seed (2024)"),
+  };
+  if (const auto exit = sim::ParseFlags(argc, argv, flags)) return *exit;
 
   std::string json = "{\"bench\":\"phase_breakdown\",\"memory_gib\":8,";
   json += "\"mechanisms\":[";

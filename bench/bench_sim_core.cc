@@ -18,13 +18,13 @@
 // speed differences. A metric more than --gate-pct (default 15) slower than
 // the baseline fails the run (exit 1).
 //
-// Flags: --out=FILE --baseline=FILE --gate-pct=P --runs=N --threads=N
-//        --seed=N --quick
+// Flags (--help describes them; a bad one exits 2): --out=FILE
+// --baseline=FILE --gate-pct=P --runs=N --threads=N --seed=N --quick
 #include <chrono>
 #include <cinttypes>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -36,6 +36,7 @@
 #include "hv/hypervisor.h"
 #include "hw/platform.h"
 #include "sim/event_queue.h"
+#include "sim/flags.h"
 #include "sim/json.h"
 
 namespace {
@@ -311,33 +312,22 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string baseline_path;
   double gate_pct = 15.0;
-  int runs = 0;
-  int threads = 0;
+  int runs = 0;  // 0 = mode default
   std::uint64_t seed = 1000;
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
-    } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      baseline_path = arg + 11;
-    } else if (std::strncmp(arg, "--gate-pct=", 11) == 0) {
-      gate_pct = std::atof(arg + 11);
-    } else if (std::strncmp(arg, "--runs=", 7) == 0) {
-      runs = std::atoi(arg + 7);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = std::atoi(arg + 10);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(arg, "--help") == 0) {
-      std::printf(
-          "flags: --out=FILE --baseline=FILE --gate-pct=P --runs=N "
-          "--threads=N --seed=N --quick\n");
-      return 0;
-    }
-  }
+  std::uint64_t thread_count = 0;
+  using nlh::sim::Flag;
+  const std::vector<Flag> flags = {
+      Flag::Text("--out", &out_path, "FILE", "JSON output (default stdout)"),
+      Flag::Text("--baseline", &baseline_path, "FILE", "JSON to gate against"),
+      Flag::PositiveDecimal("--gate-pct", &gate_pct, "P", "gate width (15)"),
+      Flag::PositiveInt("--runs", &runs, "N", "campaign runs (48, quick 8)"),
+      Flag::U64("--threads", &thread_count, INT_MAX, "threads (0 = all)"),
+      Flag::U64("--seed", &seed, UINT64_MAX, "base seed (1000)"),
+      Flag::Switch("--quick", &quick, "shorter loops and campaign"),
+  };
+  if (const auto exit = nlh::sim::ParseFlags(argc, argv, flags)) return *exit;
+  const int threads = static_cast<int>(thread_count);
   if (runs == 0) runs = quick ? 8 : 48;
 
   nlh::bench::PrintHeader("Simulation-core throughput (bench_sim_core)",

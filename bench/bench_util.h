@@ -1,20 +1,22 @@
 // Shared helpers for the experiment-reproduction benches.
 //
 // Every bench binary regenerates one table or figure from the paper and
-// prints the same rows/series. Common flags:
-//   --runs=N     runs per campaign cell (default: reduced counts; the paper
-//                used 1000-5000 per fault type)
-//   --full       use the paper's injection counts (Section VII-A)
-//   --threads=N  worker threads (default: all cores)
-//   --seed=N     base seed
+// prints the same rows/series. BenchArgs::Parse reads the common flags
+// (--help lists them; an unknown flag or a malformed value exits 2):
+// --runs=N overrides the reduced default campaign sizes, --full selects the
+// paper's injection counts (1000-5000 per fault type, Section VII-A), and
+// --threads=0 (the default) uses all cores.
 #pragma once
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
+#include <optional>
+#include <vector>
 
 #include "core/campaign.h"
+#include "sim/flags.h"
 
 namespace nlh::bench {
 
@@ -24,24 +26,20 @@ struct BenchArgs {
   int threads = 0;
   std::uint64_t seed = 1000;
 
+  // Parses the common flags; exits on --help (0) or a bad flag (2).
   static BenchArgs Parse(int argc, char** argv) {
     BenchArgs a;
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--runs=", 7) == 0) {
-        a.runs = std::atoi(arg + 7);
-      } else if (std::strcmp(arg, "--full") == 0) {
-        a.full = true;
-      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-        a.threads = std::atoi(arg + 10);
-      } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-        a.seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
-      } else if (std::strcmp(arg, "--help") == 0) {
-        std::printf(
-            "flags: --runs=N --full --threads=N --seed=N\n");
-        std::exit(0);
-      }
+    std::uint64_t threads = 0;
+    const std::vector<sim::Flag> flags = {
+        sim::Flag::PositiveInt("--runs", &a.runs, "N", "runs per cell"),
+        sim::Flag::Switch("--full", &a.full, "the paper's injection counts"),
+        sim::Flag::U64("--threads", &threads, INT_MAX, "threads (0 = all)"),
+        sim::Flag::U64("--seed", &a.seed, UINT64_MAX, "base seed (1000)"),
+    };
+    if (const std::optional<int> exit = sim::ParseFlags(argc, argv, flags)) {
+      std::exit(*exit);
     }
+    a.threads = static_cast<int>(threads);
     return a;
   }
 

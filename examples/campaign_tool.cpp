@@ -3,29 +3,20 @@
 // injection runs of a chosen configuration and prints the aggregate
 // statistics with 95% confidence intervals.
 //
-// Usage:
-//   campaign_tool [--mechanism=SLUG] [--fault=failstop|register|code]
-//                 [--setup=1appvm|3appvm] [--bench=unix|blk|net]
-//                 [--runs=N] [--seed=N] [--verbose]
-//                 [--snapshot-period=MS] [--warm-fork]
+// `campaign_tool --help` lists every flag, printed from the flag table in
+// main(); the notes below explain what the less obvious ones mean. Every
+// flag is parsed strictly (sim/flags.h): an unknown flag, a malformed or
+// out-of-range number ("abc", "-5", "150ms") or an unknown --mechanism,
+// --fault, --setup, --bench or --placement value exits 2 with the usage.
+// --fleet, --fuzz, --replay, --shrink and --corpus (without --fuzz) each
+// select a mode; passing two of them exits 2 naming both.
 //
 // --mechanism accepts any slug in core::kMechanisms (none, nilihype,
-// rehype, snapres) and rejects unknown slugs listing the valid ones.
-// --snapshot-period sets the snapres capture cadence. --warm-fork switches
-// the campaign to the warm-fork runner: per-worker template systems
-// advance through periodic full-system snapshots and every injection run
-// forks off the epoch preceding its trigger — bit-identical results, large
-// speedup on boot-dominated runs.
-//                 [--audit] [--audit-out=FILE.json]
-//                 [--trace-out=FILE.json] [--metrics-out=FILE.json]
-//                 [--dossier-dir=DIR] [--replay=RUN_ID]
-//                 [--profile-out=FILE.folded]
-//
-// Every numeric flag is parsed strictly: digits only, no unit suffix.
-// --runs, --fuzz, --shrink-evals and --max-corpus need a positive count;
-// --seed, --fuzz-seed and --threads take any non-negative integer. An
-// unknown --mechanism, --fault, --setup, --bench or --placement value
-// exits 2 listing the valid ones.
+// rehype, snapres). --snapshot-period sets the snapres capture cadence.
+// --warm-fork switches the campaign to the warm-fork runner: per-worker
+// template systems advance through periodic full-system snapshots and every
+// injection run forks off the epoch preceding its trigger — bit-identical
+// results, large speedup on boot-dominated runs.
 // --privvm-recovery arms the PrivVM component-recovery path (detector +
 // backend/ring repair, run after every hypervisor recovery and on PrivVM-only
 // failures). --privvm-plants[=OFFSET_US] additionally plants the correlated
@@ -43,8 +34,7 @@
 // --proactive[=THRESHOLD] additionally arms proactive rejuvenation: after
 // THRESHOLD unexplained drift events (default 1) the configured recovery
 // mechanism is triggered on the still-running system — recovery before
-// manifestation. Implies --integrity; a non-numeric or non-positive
-// THRESHOLD exits 2.
+// manifestation. Implies --integrity.
 // --integrity-out=FILE writes the campaign aggregate plus the seed0
 // replay's monitor summary (epochs, drifts, first-drift surface, drift
 // trail fingerprint) as JSON. Implies --integrity.
@@ -76,9 +66,8 @@
 //                    under NiLiHype, ReHype, and the no-recovery baseline by
 //                    the differential oracle); divergent scenarios are
 //                    shrunk to minimal reproducers.
-// --fuzz-seed=S      master seed of the fuzzing campaign (default 1; the
-//                    whole campaign is a pure function of it).
-// --threads=N        worker threads for campaigns and fuzzing (0 = auto).
+// --fuzz-seed=S      master seed of the fuzzing campaign (the whole
+//                    campaign is a pure function of it).
 // --corpus=DIR       with --fuzz: write shrunk reproducers here. Without
 //                    --fuzz: corpus regression mode — replay every
 //                    reproducer in DIR and verify its recorded verdicts
@@ -86,10 +75,9 @@
 // --shrink=FILE      re-shrink the scenario of an existing reproducer
 //                    bundle and report the minimal form (useful after
 //                    simulator changes).
-// --shrink-evals=N   oracle-evaluation budget per shrink (default 64).
-// --max-corpus=N     cap on reproducers emitted per fuzz run (default 16).
 // --replay also accepts a reproducer path: --replay=FILE.json re-evaluates
-// that scenario and prints the per-policy verdicts.
+// that scenario under the policies its bundle recorded and prints the
+// per-policy verdicts (--shrink evaluates under them too).
 // Fleet mode (src/fleet/):
 // --fleet            run the fleet-scale simulator instead of a campaign:
 //                    --hosts=N hosts each serving --tenants=N tenant VMs for
@@ -98,18 +86,15 @@
 //                    seed (--seed). Prints the fleet summary (faults,
 //                    evacuations, request tallies, SLO-violation-minutes);
 //                    --fleet-out=FILE writes the FleetResult JSON.
-// --placement=SLUG   evacuation placement policy: least-loaded | first-fit.
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.h"
@@ -119,6 +104,7 @@
 #include "forensics/profiler.h"
 #include "fuzz/engine.h"
 #include "fuzz/shrinker.h"
+#include "sim/flags.h"
 #include "sim/json.h"
 
 using namespace nlh;
@@ -133,84 +119,6 @@ bool WriteFile(const std::string& path, const std::string& content) {
   }
   out << content;
   return true;
-}
-
-void Usage() {
-  std::printf(
-      "usage: campaign_tool [options]\n"
-      "  campaign: [--mechanism=SLUG] [--fault=failstop|register|code|memory]\n"
-      "            [--setup=1appvm|3appvm] [--bench=unix|blk|net] [--runs=N]\n"
-      "            [--seed=N] [--threads=N] [--snapshot-period=MS] [--warm-fork]\n"
-      "            [--privvm-recovery] [--privvm-plants[=OFFSET_US]] [--audit]\n"
-      "            [--audit-out=FILE.json]\n"
-      "            [--integrity] [--proactive[=THRESHOLD]]\n"
-      "            [--integrity-out=FILE.json]\n"
-      "            [--trace-out=FILE.json] [--metrics-out=FILE.json]\n"
-      "            [--dossier-dir=DIR] [--profile-out=FILE.folded] [--verbose]\n"
-      "            (an unknown SLUG exits listing the valid ones)\n"
-      "  replay:   --replay=RUN_ID | --replay=REPRO.json\n"
-      "  fuzzing:  --fuzz=N [--fuzz-seed=S] [--fuzz-all-mechs] [--threads=N]\n"
-      "            [--corpus=DIR] [--shrink-evals=N] [--max-corpus=N]\n"
-      "  corpus:   --corpus=DIR  (without --fuzz: replay every reproducer in\n"
-      "            DIR and verify its recorded verdicts byte-for-byte)\n"
-      "  fleet:    --fleet [--hosts=N] [--tenants=N] [--fleet-horizon=S]\n"
-      "            [--placement=least-loaded|first-fit] [--fleet-out=FILE.json]\n"
-      "  shrink:   --shrink=REPRO.json [--shrink-evals=N]\n"
-      "see the header comment of examples/campaign_tool.cpp for details\n");
-}
-
-bool AllDigits(const std::string& s) {
-  if (s.empty()) return false;
-  for (const char c : s) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return false;
-  }
-  return true;
-}
-
-// Digits-only parse into [min, max]: a sign, a trailing unit ("150ms") or
-// an out-of-range value is rejected, never atoi()-truncated into a
-// silently different config.
-bool ParseDigits(const std::string& value, std::uint64_t min,
-                 std::uint64_t max, std::uint64_t* out) {
-  if (!AllDigits(value)) return false;
-  errno = 0;
-  const unsigned long long n = std::strtoull(value.c_str(), nullptr, 10);
-  if (errno == ERANGE || n < min || n > max) return false;
-  *out = n;
-  return true;
-}
-
-// Strict positive-integer flag parse, shared by every count flag. Prints
-// the error; the caller prints Usage() and exits 2.
-bool ParsePositiveInt(const char* flag, const std::string& value,
-                      const char* what, int* out) {
-  std::uint64_t n = 0;
-  if (!ParseDigits(value, 1, INT_MAX, &n)) {
-    std::printf("%s needs a positive %s, got '%s'\n", flag, what,
-                value.c_str());
-    return false;
-  }
-  *out = static_cast<int>(n);
-  return true;
-}
-
-// Strict non-negative integer flag parse (seeds, thread counts).
-bool ParseU64(const char* flag, const std::string& value, std::uint64_t max,
-              std::uint64_t* out) {
-  if (!ParseDigits(value, 0, max, out)) {
-    std::printf("%s needs a non-negative integer up to %llu, got '%s'\n",
-                flag, static_cast<unsigned long long>(max), value.c_str());
-    return false;
-  }
-  return true;
-}
-
-// Prints "unknown <what> '<value>'; valid: a b c" for an enum-valued flag.
-void PrintUnknown(const char* what, const std::string& value,
-                  const std::vector<const char*>& valid) {
-  std::printf("unknown %s '%s'; valid:", what, value.c_str());
-  for (const char* v : valid) std::printf(" %s", v);
-  std::printf("\n");
 }
 
 void PrintVerdicts(const fuzz::OracleOutcome& o) {
@@ -272,15 +180,15 @@ int main(int argc, char** argv) {
   bool verbose = false;
   guest::BenchmarkKind bench = guest::BenchmarkKind::kUnixBench;
   bool one_appvm = false;
+  int snapshot_ms = 0;  // 0 = RunConfig's default cadence
+  std::uint64_t threads = 0;
   std::string trace_out;
   std::string metrics_out;
   std::string audit_out;
   std::string integrity_out;
   std::string dossier_dir;
   std::string profile_out;
-  bool replay_mode = false;
-  std::uint64_t replay_id = 0;
-  std::string replay_path;   // --replay=<reproducer.json>
+  std::string replay;        // --replay=RUN_ID or --replay=REPRO.json
   int fuzz_iterations = 0;   // --fuzz=N (0 = fuzzing off)
   std::uint64_t fuzz_seed = 1;
   std::string corpus_dir;
@@ -289,213 +197,117 @@ int main(int argc, char** argv) {
   int max_corpus = 16;
   bool fuzz_all_mechs = false;  // --fuzz-all-mechs: snapres as 4th variant
   bool privvm_plants = false;   // --privvm-plants: correlated PrivVM damage
-  sim::Duration privvm_plant_offset = sim::Microseconds(200);
+  int privvm_plant_us = 200;
   bool fleet_mode = false;      // --fleet: fleet simulator instead of campaign
   fleet::FleetConfig fleet_cfg;
   std::string fleet_out;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto val = [&](const char* prefix) -> const char* {
-      return arg.c_str() + std::strlen(prefix);
-    };
-    if (arg.rfind("--mechanism=", 0) == 0) {
-      const std::string slug = val("--mechanism=");
-      if (!core::MechanismFromSlug(slug, &cfg.mechanism)) {
-        std::vector<const char*> slugs;
-        for (const core::MechanismInfo& m : core::kMechanisms) {
-          slugs.push_back(m.slug);
-        }
-        PrintUnknown("mechanism", slug, slugs);
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--snapshot-period=", 0) == 0) {
-      int ms = 0;
-      if (!ParsePositiveInt("--snapshot-period", val("--snapshot-period="),
-                            "millisecond count", &ms)) {
-        Usage();
-        return 2;
-      }
-      cfg.snapshot_period = sim::Milliseconds(ms);
-    } else if (arg == "--warm-fork") {
-      opts.warm_fork = true;
-    } else if (arg == "--fuzz-all-mechs") {
-      fuzz_all_mechs = true;
-    } else if (arg.rfind("--fault=", 0) == 0) {
-      // Strict fault-class selection: an unknown class used to fall through
-      // to failstop silently (and "memory" was unreachable entirely).
-      const std::string f = val("--fault=");
-      if (f == "failstop") {
-        cfg.fault = inject::FaultType::kFailstop;
-      } else if (f == "register") {
-        cfg.fault = inject::FaultType::kRegister;
-      } else if (f == "code") {
-        cfg.fault = inject::FaultType::kCode;
-      } else if (f == "memory") {
-        cfg.fault = inject::FaultType::kMemory;
-      } else {
-        PrintUnknown("fault class", f, {"failstop", "register", "code",
-                                        "memory"});
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--setup=", 0) == 0) {
-      const std::string setup = val("--setup=");
-      if (setup != "1appvm" && setup != "3appvm") {
-        PrintUnknown("setup", setup, {"1appvm", "3appvm"});
-        Usage();
-        return 2;
-      }
-      one_appvm = setup == "1appvm";
-    } else if (arg.rfind("--bench=", 0) == 0) {
-      const std::string b = val("--bench=");
-      if (b == "unix") {
-        bench = guest::BenchmarkKind::kUnixBench;
-      } else if (b == "blk") {
-        bench = guest::BenchmarkKind::kBlkBench;
-      } else if (b == "net") {
-        bench = guest::BenchmarkKind::kNetBench;
-      } else {
-        PrintUnknown("bench", b, {"unix", "blk", "net"});
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--runs=", 0) == 0) {
-      if (!ParsePositiveInt("--runs", val("--runs="), "run count",
-                            &opts.runs)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!ParseU64("--seed", val("--seed="), UINT64_MAX, &opts.seed0)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg == "--privvm-recovery") {
-      cfg.privvm_recovery = true;
-    } else if (arg == "--privvm-plants" ||
-               arg.rfind("--privvm-plants=", 0) == 0) {
-      if (arg.rfind("--privvm-plants=", 0) == 0) {
-        int us = 0;
-        if (!ParsePositiveInt("--privvm-plants", val("--privvm-plants="),
-                              "microsecond offset", &us)) {
-          Usage();
-          return 2;
-        }
-        privvm_plant_offset = sim::Microseconds(us);
-      }
-      privvm_plants = true;
-      cfg.privvm_recovery = true;  // plants are invisible without the passes
-    } else if (arg == "--audit") {
-      cfg.audit = true;
-    } else if (arg.rfind("--audit-out=", 0) == 0) {
-      audit_out = val("--audit-out=");
-      cfg.audit = true;
-    } else if (arg == "--integrity") {
-      cfg.integrity = true;
-    } else if (arg == "--proactive" || arg.rfind("--proactive=", 0) == 0) {
-      if (arg.rfind("--proactive=", 0) == 0) {
-        if (!ParsePositiveInt("--proactive", val("--proactive="),
-                              "drift-event threshold",
-                              &cfg.proactive_threshold)) {
-          Usage();
-          return 2;
-        }
-      }
-      cfg.proactive = true;
-      cfg.integrity = true;  // rejuvenation consumes the monitor's drifts
-    } else if (arg.rfind("--integrity-out=", 0) == 0) {
-      integrity_out = val("--integrity-out=");
-      cfg.integrity = true;
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out = val("--trace-out=");
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = val("--metrics-out=");
-    } else if (arg.rfind("--dossier-dir=", 0) == 0) {
-      dossier_dir = val("--dossier-dir=");
-    } else if (arg.rfind("--replay=", 0) == 0) {
-      const std::string what = val("--replay=");
-      if (ParseDigits(what, 0, UINT64_MAX, &replay_id)) {
-        replay_mode = true;
-      } else {
-        replay_path = what;
-      }
-    } else if (arg.rfind("--profile-out=", 0) == 0) {
-      profile_out = val("--profile-out=");
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      std::uint64_t threads = 0;
-      if (!ParseU64("--threads", val("--threads="), INT_MAX, &threads)) {
-        Usage();
-        return 2;
-      }
-      opts.threads = static_cast<int>(threads);
-    } else if (arg.rfind("--fuzz=", 0) == 0) {
-      if (!ParsePositiveInt("--fuzz", val("--fuzz="), "scenario count",
-                            &fuzz_iterations)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--fuzz-seed=", 0) == 0) {
-      if (!ParseU64("--fuzz-seed", val("--fuzz-seed="), UINT64_MAX,
-                    &fuzz_seed)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--corpus=", 0) == 0) {
-      corpus_dir = val("--corpus=");
-    } else if (arg.rfind("--shrink=", 0) == 0) {
-      shrink_path = val("--shrink=");
-    } else if (arg.rfind("--shrink-evals=", 0) == 0) {
-      if (!ParsePositiveInt("--shrink-evals", val("--shrink-evals="),
-                            "evaluation budget", &shrink_evals)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--max-corpus=", 0) == 0) {
-      if (!ParsePositiveInt("--max-corpus", val("--max-corpus="),
-                            "reproducer count", &max_corpus)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg == "--fleet") {
-      fleet_mode = true;
-    } else if (arg.rfind("--hosts=", 0) == 0) {
-      if (!ParsePositiveInt("--hosts", val("--hosts="), "host count",
-                            &fleet_cfg.hosts)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--tenants=", 0) == 0) {
-      if (!ParsePositiveInt("--tenants", val("--tenants="),
-                            "tenants-per-host count",
-                            &fleet_cfg.tenants_per_host)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--fleet-horizon=", 0) == 0) {
-      if (!ParsePositiveInt("--fleet-horizon", val("--fleet-horizon="),
-                            "second count", &fleet_cfg.horizon_s)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--placement=", 0) == 0) {
-      const std::string slug = val("--placement=");
-      if (!fleet::PlacementPolicyFromSlug(slug, &fleet_cfg.placement)) {
-        PrintUnknown("placement policy", slug, {"least-loaded", "first-fit"});
-        Usage();
-        return 2;
-      }
-    } else if (arg.rfind("--fleet-out=", 0) == 0) {
-      fleet_out = val("--fleet-out=");
-    } else if (arg == "--verbose") {
-      verbose = true;
-    } else {
-      std::printf("unknown flag %s\n", arg.c_str());
-      Usage();
-      return 2;
-    }
+  std::vector<std::pair<const char*, core::Mechanism>> mechanisms;
+  for (const core::MechanismInfo& m : core::kMechanisms) {
+    mechanisms.emplace_back(m.slug, m.mechanism);
   }
+  using fleet::PlacementPolicy;
+  using guest::BenchmarkKind;
+  using inject::FaultType;
+  using sim::Flag;
+  const std::vector<Flag> flags = {
+      Flag::Choice("--mechanism", &cfg.mechanism, mechanisms, "mechanism",
+                   "recovery mechanism under test"),
+      Flag::Choice("--fault", &cfg.fault,
+                   {{"failstop", FaultType::kFailstop},
+                    {"register", FaultType::kRegister},
+                    {"code", FaultType::kCode},
+                    {"memory", FaultType::kMemory}},
+                   "fault class", "injected fault class"),
+      Flag::Choice("--setup", &one_appvm, {{"1appvm", true}, {"3appvm", false}},
+                   "setup", "PrivVM plus one or three AppVMs"),
+      Flag::Choice("--bench", &bench,
+                   {{"unix", BenchmarkKind::kUnixBench},
+                    {"blk", BenchmarkKind::kBlkBench},
+                    {"net", BenchmarkKind::kNetBench}},
+                   "bench", "the 1appvm setup's workload"),
+      Flag::PositiveInt("--runs", &opts.runs, "N", "injection runs (200)"),
+      Flag::U64("--seed", &opts.seed0, UINT64_MAX,
+                "first run's seed; the fleet's master seed"),
+      Flag::U64("--threads", &threads, INT_MAX, "worker threads (0 = all)"),
+      Flag::PositiveInt("--snapshot-period", &snapshot_ms, "MS",
+                        "SnapRes capture cadence (100)"),
+      Flag::Switch("--warm-fork", &opts.warm_fork,
+                   "fork runs off warm snapshots (same results)"),
+      Flag::Switch("--privvm-recovery", &cfg.privvm_recovery,
+                   "arm PrivVM component recovery"),
+      Flag::OptionalInt("--privvm-plants", &privvm_plants, &privvm_plant_us,
+                        "US", "PrivVM damage US after detection (200)"),
+      Flag::Switch("--audit", &cfg.audit, "audit every run's end state"),
+      Flag::Text("--audit-out", &audit_out, "FILE.json",
+                 "seed0's audit findings (implies --audit)"),
+      Flag::Switch("--integrity", &cfg.integrity, "arm the integrity monitor"),
+      Flag::OptionalInt("--proactive", &cfg.proactive,
+                        &cfg.proactive_threshold, "N",
+                        "rejuvenate after N drifts (1; implies --integrity)"),
+      Flag::Text("--integrity-out", &integrity_out, "FILE.json",
+                 "seed0's monitor summary (implies --integrity)"),
+      Flag::Text("--trace-out", &trace_out, "FILE.json",
+                 "seed0's Chrome trace"),
+      Flag::Text("--metrics-out", &metrics_out, "FILE.json", "seed0's metrics"),
+      Flag::Text("--dossier-dir", &dossier_dir, "DIR",
+                 "a dossier per non-successful run"),
+      Flag::Text("--profile-out", &profile_out, "FILE.folded",
+                 "collapsed-stack profile"),
+      Flag::Switch("--verbose", &verbose, "print every run's outcome"),
+      Flag::Text("--replay", &replay, "RUN_ID|REPRO.json",
+                 "replay a run or a reproducer"),
+      Flag::PositiveInt("--fuzz", &fuzz_iterations, "N", "fuzz N scenarios"),
+      Flag::U64("--fuzz-seed", &fuzz_seed, UINT64_MAX, "fuzz master seed (1)"),
+      Flag::Switch("--fuzz-all-mechs", &fuzz_all_mechs,
+                   "fuzz with SnapRes as a fourth policy"),
+      Flag::Text("--corpus", &corpus_dir, "DIR",
+                 "--fuzz output; alone, check every reproducer in it"),
+      Flag::Text("--shrink", &shrink_path, "REPRO.json",
+                 "re-shrink a reproducer's scenario"),
+      Flag::PositiveInt("--shrink-evals", &shrink_evals, "N",
+                        "evaluations per shrink (64)"),
+      Flag::PositiveInt("--max-corpus", &max_corpus, "N",
+                        "reproducers per fuzz run (16)"),
+      Flag::Switch("--fleet", &fleet_mode, "run the fleet simulator"),
+      Flag::PositiveInt("--hosts", &fleet_cfg.hosts, "N", "fleet hosts (100)"),
+      Flag::PositiveInt("--tenants", &fleet_cfg.tenants_per_host, "N",
+                        "tenant VMs per host (10)"),
+      Flag::PositiveInt("--fleet-horizon", &fleet_cfg.horizon_s, "S",
+                        "simulated fleet seconds (3600)"),
+      Flag::Choice("--placement", &fleet_cfg.placement,
+                   {{"least-loaded", PlacementPolicy::kLeastLoaded},
+                    {"first-fit", PlacementPolicy::kFirstFit}},
+                   "placement policy", "evacuation placement"),
+      Flag::Text("--fleet-out", &fleet_out, "FILE.json", "FleetResult JSON"),
+  };
+  if (const std::optional<int> exit = sim::ParseFlags(argc, argv, flags)) {
+    return *exit;
+  }
+
+  std::vector<const char*> modes;
+  if (fleet_mode) modes.push_back("--fleet");
+  if (fuzz_iterations > 0) modes.push_back("--fuzz");
+  if (!replay.empty()) modes.push_back("--replay");
+  if (!shrink_path.empty()) modes.push_back("--shrink");
+  if (!corpus_dir.empty() && fuzz_iterations == 0) modes.push_back("--corpus");
+  if (modes.size() > 1) {
+    std::printf("%s and %s select different modes; pass one\n", modes[0],
+                modes[1]);
+    sim::PrintUsage(argv[0], flags);
+    return 2;
+  }
+  // --replay=<digits> replays a campaign run; anything else is a path.
+  std::uint64_t replay_id = 0;
+  const bool replay_mode = sim::ParseUnsigned(replay, 0, UINT64_MAX,
+                                              &replay_id);
+  const std::string replay_path = replay_mode ? "" : replay;
+  if (snapshot_ms > 0) cfg.snapshot_period = sim::Milliseconds(snapshot_ms);
+  opts.threads = static_cast<int>(threads);
+  // The layers these flags feed are invisible unless armed.
+  if (privvm_plants) cfg.privvm_recovery = true;
+  if (!audit_out.empty()) cfg.audit = true;
+  if (cfg.proactive || !integrity_out.empty()) cfg.integrity = true;
 
   // --- Fleet mode (src/fleet/) ----------------------------------------------
   if (fleet_mode) {
@@ -527,14 +339,14 @@ int main(int argc, char** argv) {
     std::string err;
     if (!fuzz::LoadReproducer(replay_path, &rep, &err)) {
       std::printf("cannot replay %s: %s\n", replay_path.c_str(), err.c_str());
-      Usage();
+      sim::PrintUsage(argv[0], flags);
       return 2;
     }
     std::printf("replaying reproducer %s (%s, %d plan elements)\n",
                 replay_path.c_str(), fuzz::DivergenceKindName(rep.divergence),
                 rep.scenario.PlanElementCount());
     const fuzz::OracleOutcome o =
-        fuzz::EvaluateScenario(rep.scenario, opts.threads);
+        fuzz::EvaluateScenario(rep.scenario, opts.threads, rep.policies);
     PrintVerdicts(o);
     return o.divergence == rep.divergence ? 0 : 1;
   }
@@ -543,11 +355,11 @@ int main(int argc, char** argv) {
     std::string err;
     if (!fuzz::LoadReproducer(shrink_path, &rep, &err)) {
       std::printf("cannot shrink %s: %s\n", shrink_path.c_str(), err.c_str());
-      Usage();
+      sim::PrintUsage(argv[0], flags);
       return 2;
     }
     const fuzz::OracleOutcome before =
-        fuzz::EvaluateScenario(rep.scenario, opts.threads);
+        fuzz::EvaluateScenario(rep.scenario, opts.threads, rep.policies);
     if (before.divergence != rep.divergence) {
       std::printf("scenario no longer shows %s (now %s) — nothing to shrink\n",
                   fuzz::DivergenceKindName(rep.divergence),
@@ -556,8 +368,8 @@ int main(int argc, char** argv) {
     }
     const fuzz::ShrinkResult shrunk = fuzz::ShrinkScenario(
         rep.scenario, rep.divergence,
-        [&opts](const fuzz::Scenario& s) {
-          return fuzz::EvaluateScenario(s, opts.threads);
+        [&opts, &rep](const fuzz::Scenario& s) {
+          return fuzz::EvaluateScenario(s, opts.threads, rep.policies);
         },
         shrink_evals);
     std::printf("shrunk to %d plan element(s) in %d eval(s):\n%s\n",
@@ -591,7 +403,7 @@ int main(int argc, char** argv) {
   if (!corpus_dir.empty()) {
     if (!std::filesystem::is_directory(corpus_dir)) {
       std::printf("corpus directory %s does not exist\n", corpus_dir.c_str());
-      Usage();
+      sim::PrintUsage(argv[0], flags);
       return 2;
     }
     return RunCorpusCheck(corpus_dir, opts.threads);
@@ -628,6 +440,8 @@ int main(int argc, char** argv) {
     // corruption there, while slower mechanisms (ReHype, ~450ms) are still
     // frozen and still repair it. The default pair matches the test
     // battery's CorrelatedConfig (tests/test_privvm_recovery.cc).
+    const sim::Duration privvm_plant_offset =
+        sim::Microseconds(privvm_plant_us);
     inject::PlantSpec queue;
     queue.target = inject::CorruptionTarget::kPrivVmBackendQueue;
     queue.during_recovery = true;

@@ -1,11 +1,14 @@
-// CLI contract of campaign_tool: bad invocations must fail fast, with a
-// nonzero exit code and a usage message — a misspelled flag or a missing
-// corpus path in CI must never silently fall through to a default
-// campaign. NLH_CAMPAIGN_TOOL is the built binary's path (from CMake).
+// CLI contract of campaign_tool and the bench binaries: bad invocations
+// must fail fast, with a nonzero exit code and a usage message — a
+// misspelled flag or a missing corpus path in CI must never silently fall
+// through to a default campaign. NLH_CAMPAIGN_TOOL and NLH_BENCH_* are the
+// built binaries' paths (from CMake).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <vector>
 #include <sys/wait.h>
 
 namespace {
@@ -15,9 +18,8 @@ struct CliResult {
   std::string output;  // stdout + stderr
 };
 
-CliResult RunTool(const std::string& args) {
-  const std::string cmd =
-      std::string(NLH_CAMPAIGN_TOOL) + " " + args + " 2>&1";
+CliResult RunBinary(const std::string& binary, const std::string& args) {
+  const std::string cmd = binary + " " + args + " 2>&1";
   std::FILE* pipe = popen(cmd.c_str(), "r");
   CliResult r;
   if (pipe == nullptr) return r;
@@ -29,6 +31,10 @@ CliResult RunTool(const std::string& args) {
   const int status = pclose(pipe);
   if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
   return r;
+}
+
+CliResult RunTool(const std::string& args) {
+  return RunBinary(NLH_CAMPAIGN_TOOL, args);
 }
 
 TEST(CampaignToolCli, UnknownFlagExitsNonzeroWithUsage) {
@@ -338,6 +344,82 @@ TEST(CampaignToolCli, CorpusCheckPassesOnTheCommittedCorpus) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("corpus check passed"), std::string::npos)
       << r.output;
+}
+
+// Two mode flags used to run whichever came first and ignore the other.
+TEST(CampaignToolCli, ConflictingModesExitNonzeroNamingBoth) {
+  const CliResult r =
+      RunTool("--fleet --hosts=2 --tenants=1 --fleet-horizon=60 --fuzz=3");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--fleet and --fuzz select different modes"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+  const CliResult c =
+      RunTool(std::string("--replay=5 --corpus=") + NLH_CORPUS_DIR);
+  EXPECT_EQ(c.exit_code, 2) << c.output;
+  EXPECT_NE(c.output.find("--replay and --corpus select different modes"),
+            std::string::npos)
+      << c.output;
+}
+
+// --replay and --shrink evaluate a reproducer under the policies its bundle
+// recorded: a --fuzz-all-mechs bundle carries SnapRes as a fourth verdict.
+TEST(CampaignToolCli, ReplayAndShrinkUseTheBundlesPolicies) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "cli_all_mechs_corpus";
+  fs::remove_all(dir);
+  const CliResult fuzz = RunTool(
+      "--fuzz=48 --fuzz-seed=7 --fuzz-all-mechs --max-corpus=2 --threads=2"
+      " --corpus=" + dir);
+  ASSERT_EQ(fuzz.exit_code, 0) << fuzz.output;
+  std::vector<std::string> bundles;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    bundles.push_back(e.path().string());
+  }
+  ASSERT_FALSE(bundles.empty()) << fuzz.output;
+  for (const std::string& bundle : bundles) {
+    const CliResult r = RunTool("--threads=2 --replay=" + bundle);
+    EXPECT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find("\n  SnapRes "), std::string::npos) << r.output;
+  }
+  const CliResult shrunk =
+      RunTool("--threads=2 --shrink-evals=4 --shrink=" + bundles.front());
+  EXPECT_EQ(shrunk.exit_code, 0) << shrunk.output;
+  EXPECT_NE(shrunk.output.find("shrunk to"), std::string::npos)
+      << shrunk.output;
+  fs::remove_all(dir);
+}
+
+// The benches share campaign_tool's strict parser: a malformed value or an
+// unknown flag used to be atoi()-truncated or ignored and start a full run.
+TEST(BenchCli, MalformedOrUnknownFlagsExitNonzeroQuotingTheValue) {
+  const struct {
+    const char* binary;
+    const char* args;
+    const char* error;
+  } cases[] = {
+      {NLH_BENCH_FIG2, "--runs=abc", "got 'abc'"},
+      {NLH_BENCH_FIG2, "--quick", "unknown flag --quick"},
+      {NLH_BENCH_SIM_CORE, "--gate-pct=abc", "got 'abc'"},
+      {NLH_BENCH_FLEET_SLO, "--hosts=100k", "got '100k'"},
+      {NLH_BENCH_PHASE_BREAKDOWN, "--runs=abc", "got 'abc'"},
+  };
+  for (const auto& c : cases) {
+    const CliResult r = RunBinary(c.binary, c.args);
+    EXPECT_EQ(r.exit_code, 2) << c.binary << " " << c.args << "\n"
+                              << r.output;
+    EXPECT_NE(r.output.find(c.error), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+  }
+}
+
+TEST(BenchCli, HelpListsTheFlagsAndExitsZero) {
+  const CliResult r = RunBinary(NLH_BENCH_FIG2, "--help");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  for (const char* flag : {"--runs=N", "--full", "--threads=N", "--seed=N"}) {
+    EXPECT_NE(r.output.find(flag), std::string::npos) << r.output;
+  }
 }
 
 }  // namespace
